@@ -349,35 +349,42 @@ pub fn materialize_args(
     let mut args: Vec<RtVal> = Vec::new();
     let mut buffers: Vec<BufferHandle> = Vec::new();
     for a in specs {
-        match *a {
-            ArgSpec::BufF64(n, init) => {
-                let data: Vec<f64> = (0..n as i64)
-                    .map(|i| match init {
-                        BufInit::Zero => 0.0,
-                        BufInit::Iota => i as f64,
-                        BufInit::Pseudo => lcg01(i),
-                    })
-                    .collect();
-                let addr = dev.alloc_f64(&data).map_err(|e| e.to_string())?;
-                buffers.push((addr, n, true));
-                args.push(RtVal::Ptr(addr));
+        let (n, init, is_f64) = match *a {
+            ArgSpec::BufF64(n, init) => (n, init, true),
+            ArgSpec::BufI64(n, init) => (n, init, false),
+            ArgSpec::I64(v) => {
+                args.push(RtVal::I64(v));
+                continue;
             }
-            ArgSpec::BufI64(n, init) => {
-                let data: Vec<i64> = (0..n as i64)
-                    .map(|i| match init {
-                        BufInit::Zero => 0,
-                        BufInit::Iota => i,
-                        BufInit::Pseudo => (lcg01(i) * 1000.0) as i64,
-                    })
-                    .collect();
-                let addr = dev.alloc_i64(&data).map_err(|e| e.to_string())?;
-                buffers.push((addr, n, false));
-                args.push(RtVal::Ptr(addr));
+            ArgSpec::I32(v) => {
+                args.push(RtVal::I32(v));
+                continue;
             }
-            ArgSpec::I64(v) => args.push(RtVal::I64(v)),
-            ArgSpec::I32(v) => args.push(RtVal::I32(v)),
-            ArgSpec::F64(v) => args.push(RtVal::F64(v)),
-        }
+            ArgSpec::F64(v) => {
+                args.push(RtVal::F64(v));
+                continue;
+            }
+        };
+        // Reserve the device buffer before building any host data, so an
+        // oversized length is the allocator's structured `GlobalExhausted`
+        // refusal rather than a host allocation abort. A byte size that
+        // overflows is requested as `u64::MAX`, refused the same way.
+        let bytes = u64::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .unwrap_or(u64::MAX);
+        let addr = dev.alloc(bytes).map_err(|e| e.to_string())?;
+        let mut data = Vec::with_capacity(n * 8);
+        data.extend((0..n as i64).flat_map(|i| match (init, is_f64) {
+            (BufInit::Zero, _) => [0; 8],
+            (BufInit::Iota, true) => (i as f64).to_le_bytes(),
+            (BufInit::Iota, false) => i.to_le_bytes(),
+            (BufInit::Pseudo, true) => lcg01(i).to_le_bytes(),
+            (BufInit::Pseudo, false) => ((lcg01(i) * 1000.0) as i64).to_le_bytes(),
+        }));
+        dev.write_bytes(addr, &data).map_err(|e| e.to_string())?;
+        buffers.push((addr, n, is_f64));
+        args.push(RtVal::Ptr(addr));
     }
     Ok((args, buffers))
 }
@@ -869,5 +876,30 @@ void scale(double* a, double f, long n) {
         let case = verify_example("scale", src);
         assert!(case.passed(), "{:?}", case.failures);
         assert_eq!(case.successes(), ORACLE_CONFIGS.len());
+    }
+
+    #[test]
+    fn huge_buffer_lengths_are_refused_not_aborted() {
+        let module = Module::new("empty");
+        let mut dev = Device::new(&module, Default::default()).unwrap();
+        let exhausted = omp_gpusim::SimError::from(omp_gpusim::MemError::GlobalExhausted);
+        // 32 GB of f64s, an i64 buffer, and a length whose byte size
+        // overflows: each is the allocator's refusal, with no host copy.
+        for spec in [
+            ArgSpec::BufF64(4_000_000_000, BufInit::Iota),
+            ArgSpec::BufI64(4_000_000_000, BufInit::Pseudo),
+            ArgSpec::BufF64(usize::MAX, BufInit::Zero),
+        ] {
+            let err = materialize_args(&mut dev, &[spec]).unwrap_err();
+            assert_eq!(err, exhausted.to_string(), "{spec:?}");
+        }
+        // The refusals left the device usable.
+        let (args, buffers) =
+            materialize_args(&mut dev, &[ArgSpec::BufI64(4, BufInit::Iota)]).unwrap();
+        let RtVal::Ptr(addr) = args[0] else {
+            panic!("buffer arg is a pointer")
+        };
+        assert_eq!(buffers, vec![(addr, 4, false)]);
+        assert_eq!(dev.read_i64(addr, 4).unwrap(), vec![0, 1, 2, 3]);
     }
 }

@@ -337,6 +337,21 @@ fn field_u64(v: &Value, key: &str) -> Result<Option<u64>, RequestError> {
     }
 }
 
+/// A `u32` launch field: out-of-range values are usage errors, never
+/// silently truncated.
+fn field_u32(v: &Value, key: &str) -> Result<Option<u32>, RequestError> {
+    field_u64(v, key)?
+        .map(|n| {
+            u32::try_from(n).map_err(|_| {
+                RequestError(
+                    EXIT_USAGE,
+                    format!("field {key:?} is out of range (got {n}, max {})", u32::MAX),
+                )
+            })
+        })
+        .transpose()
+}
+
 fn field_str<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, RequestError> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
@@ -455,10 +470,10 @@ impl Request {
                 .and_then(Value::as_bool)
                 .unwrap_or(false),
             kernel: field_str(v, "kernel")?.map(str::to_string),
-            teams: field_u64(v, "teams")?.map(|n| n as u32),
-            threads: field_u64(v, "threads")?.map(|n| n as u32),
+            teams: field_u32(v, "teams")?,
+            threads: field_u32(v, "threads")?,
             args,
-            jobs: field_u64(v, "jobs")?.map(|n| n as u32),
+            jobs: field_u32(v, "jobs")?,
             watchdog_secs: field_u64(v, "watchdog_secs")?.unwrap_or(DEFAULT_WATCHDOG_SECS),
             max_insts: field_u64(v, "max_insts")?,
             dump: field_u64(v, "dump")?.unwrap_or(0) as usize,

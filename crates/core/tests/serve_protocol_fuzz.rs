@@ -3,7 +3,7 @@
 //! answer a valid `ompgpu-serve/v1` envelope with a nonzero exit code —
 //! and the session must stay usable afterwards.
 
-use omp_gpu::serve::{Session, EXIT_OK, MAX_FRAME_BYTES, SCHEMA};
+use omp_gpu::serve::{Session, EXIT_OK, EXIT_USAGE, MAX_FRAME_BYTES, SCHEMA};
 use omp_json::Value;
 use proptest::prelude::*;
 
@@ -114,4 +114,35 @@ fn type_confused_op_and_oversized_frames() {
         "y".repeat(MAX_FRAME_BYTES)
     );
     assert_survives(&mut s, &huge, true);
+}
+
+#[test]
+fn out_of_range_launch_fields_are_usage_errors() {
+    // 2^32 + 1 would truncate to 1 under an `as u32` cast and run; it
+    // must instead be refused before dispatch.
+    let mut s = Session::default();
+    for field in ["teams", "threads", "jobs"] {
+        for n in [u32::MAX as u64 + 1, u32::MAX as u64 * 2 + 2] {
+            let frame = format!(
+                "{{\"op\":\"run\",\"source\":\"void k() {{}}\",\"kernel\":\"k\",{field:?}:{n}}}"
+            );
+            let (resp, _) = s.handle_line(&frame);
+            let v = omp_json::parse(&resp).expect("reply is valid JSON");
+            assert_eq!(
+                v.get("exit_code").and_then(Value::as_u64),
+                Some(EXIT_USAGE as u64),
+                "{resp}"
+            );
+            let msg = v
+                .get("error")
+                .and_then(|e| e.get("message"))
+                .and_then(Value::as_str)
+                .unwrap_or_default();
+            assert!(
+                msg.contains(field) && msg.contains("out of range"),
+                "{resp}"
+            );
+            assert_survives(&mut s, &frame, true);
+        }
+    }
 }

@@ -142,6 +142,11 @@ impl<'m> Device<'m> {
     /// reuse a warmed device across requests and still produce launches
     /// byte-identical to a cold `Device::new`.
     ///
+    /// A reset costs the bytes written since the previous reset (host
+    /// buffer writes and merged kernel stores), not the device's global
+    /// memory size, so a warm device stays resident only for the pages
+    /// it touched.
+    ///
     /// Mode switches (`set_profile`, `set_sanitize`, `set_fault_plan`,
     /// `set_watchdog`, `set_jobs`) are *not* reverted; callers that
     /// share a device across requests set them per request.
@@ -248,6 +253,16 @@ impl<'m> Device<'m> {
         let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
         self.mem.write_bytes(addr, &bytes)?;
         Ok(addr)
+    }
+
+    /// Writes raw little-endian bytes at a global address.
+    pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), SimError> {
+        Ok(self.mem.write_bytes(addr, data)?)
+    }
+
+    /// Reads `len` raw bytes at a global address.
+    pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, SimError> {
+        Ok(self.mem.read_bytes(addr, len)?)
     }
 
     /// Writes `f64` data into a buffer.

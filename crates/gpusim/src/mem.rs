@@ -602,6 +602,11 @@ impl<'a> TeamMemView<'a> {
 pub struct Memory {
     cfg: DeviceConfig,
     global: Vec<u8>,
+    /// One past the highest byte of `global` written since construction
+    /// or the last [`Memory::reset_global`]; every byte at or above it
+    /// is still zero. Raised by actual writes, never by the bump
+    /// cursor: a kernel may store past the cursor while in bounds.
+    dirty_end: usize,
     global_cursor: u64,
     heap_base: u64,
     shared_static_size: u64,
@@ -622,6 +627,7 @@ impl Memory {
         Memory {
             cfg: cfg.clone(),
             global: vec![0; (cfg.global_mem_bytes + cfg.global_heap_bytes) as usize],
+            dirty_end: 0,
             global_cursor: 0,
             heap_base,
             shared_static_size,
@@ -638,12 +644,15 @@ impl Memory {
 
     /// Allocates a host-visible global buffer; returns its address.
     pub fn alloc_global(&mut self, size: u64) -> Result<u64, MemError> {
-        let size = size.max(1).div_ceil(8) * 8;
-        if self.global_cursor + size > self.cfg.global_mem_bytes {
-            return Err(MemError::GlobalExhausted);
-        }
+        let end = size
+            .max(1)
+            .div_ceil(8)
+            .checked_mul(8)
+            .and_then(|size| self.global_cursor.checked_add(size))
+            .filter(|&end| end <= self.cfg.global_mem_bytes)
+            .ok_or(MemError::GlobalExhausted)?;
         let off = self.global_cursor;
-        self.global_cursor += size;
+        self.global_cursor = end;
         Ok(global_addr(off))
     }
 
@@ -689,10 +698,18 @@ impl Memory {
     /// global memory. Call once per team **in team-id order**: later
     /// teams overwrite earlier ones on (unsynchronized) conflicts, the
     /// same outcome sequential execution produces. Heap-region pages are
-    /// scratch and are not written back.
+    /// scratch and are not written back, so they never raise the dirty
+    /// mark [`Memory::reset_global`] zeroes up to.
     pub fn apply_delta(&mut self, delta: TeamMemDelta) {
+        let heap_base = self.heap_base as usize;
         for (page, p) in delta.pages {
             let start = (page as usize) * PAGE;
+            if start < heap_base {
+                if let Some(w) = p.dirty.iter().rposition(|&w| w != 0) {
+                    let last = start + w * 64 + 63 - p.dirty[w].leading_zeros() as usize;
+                    self.dirty_end = self.dirty_end.max((last + 1).min(heap_base));
+                }
+            }
             for w in 0..PAGE_WORDS {
                 let mut bits = p.dirty[w];
                 while bits != 0 {
@@ -718,6 +735,7 @@ impl Memory {
                     return Err(MemError::OutOfBounds(addr));
                 }
                 self.global[offset as usize..end].copy_from_slice(data);
+                self.dirty_end = self.dirty_end.max(end);
                 Ok(())
             }
             _ => Err(MemError::InvalidPointer(addr)),
@@ -751,8 +769,14 @@ impl Memory {
     /// post-construction position, after module globals were placed),
     /// and the launch high-water marks reset. The caller re-writes any
     /// global initializers afterwards; see `Device::reset`.
+    ///
+    /// Costs the bytes written since construction or the previous reset,
+    /// not the device size: only `[0, dirty mark)` is zeroed, since every
+    /// byte above the mark was never written. Pages above the mark are
+    /// never touched, so they stay out of the process's resident set.
     pub fn reset_global(&mut self, cursor: u64) {
-        self.global.fill(0);
+        self.global[..self.dirty_end].fill(0);
+        self.dirty_end = 0;
         self.global_cursor = cursor;
         self.reset_launch_state();
     }
@@ -804,6 +828,35 @@ mod tests {
         m.apply_delta(delta);
         let bytes = m.read_bytes(a, 8).unwrap();
         assert_eq!(f64::from_le_bytes(bytes.try_into().unwrap()), 3.5);
+    }
+
+    #[test]
+    fn dirty_mark_follows_writes_not_the_cursor() {
+        let mut m = mem();
+        let a = m.alloc_global(64).unwrap();
+        assert_eq!(m.dirty_end, 0, "allocation alone writes nothing");
+        m.write_bytes(a + 8, &[1; 4]).unwrap();
+        assert_eq!(m.dirty_end, 12);
+        // A kernel store past the cursor raises the mark to its last byte;
+        // a heap-region store (scratch, never merged) does not.
+        let mut v = m.team_view(0);
+        v.store(global_addr(1000), RtVal::I32(5), 0).unwrap();
+        v.store(global_addr(m.heap_base + 16), RtVal::I64(9), 0)
+            .unwrap();
+        m.apply_delta(v.finish());
+        assert_eq!(m.dirty_end, 1004);
+        m.reset_global(0);
+        assert_eq!(m.dirty_end, 0);
+        assert!(m.global[..2048].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn oversized_global_allocations_are_refused() {
+        let mut m = mem();
+        assert_eq!(m.alloc_global(u64::MAX), Err(MemError::GlobalExhausted));
+        assert_eq!(m.alloc_global(u64::MAX - 7), Err(MemError::GlobalExhausted));
+        let a = m.alloc_global(8).unwrap();
+        assert_eq!(a, global_addr(0), "a refusal must not move the cursor");
     }
 
     #[test]

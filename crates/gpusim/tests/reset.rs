@@ -4,6 +4,7 @@
 //! depends on exactly this invariant.
 
 use omp_frontend::{compile, FrontendOptions};
+use omp_gpusim::mem::global_addr;
 use omp_gpusim::{Device, DeviceConfig, LaunchDims, OwnedDevice, RtVal, StatsSnapshot};
 use std::sync::Arc;
 
@@ -78,5 +79,62 @@ fn reset_applies_to_owned_devices_too() {
     assert_eq!(
         first.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         second.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    );
+}
+
+/// Stores four doubles at `a[off..off + 4]`: with a large `off` the
+/// store lands in bounds but past every allocated buffer.
+const POKE_SRC: &str = r#"
+void poke(double* a, long off) {
+  #pragma omp target teams distribute parallel for
+  for (long i = 0; i < 4; i++) { a[off + i] = 7.0 + (double)i; }
+}
+"#;
+
+#[test]
+fn reset_clears_writes_outside_any_buffer() {
+    let module = compile(POKE_SRC, &FrontendOptions::default()).unwrap();
+    // A small device keeps the whole-image comparison cheap; the reset
+    // contract does not depend on the size.
+    let cfg = DeviceConfig {
+        global_mem_bytes: 1 << 20,
+        ..DeviceConfig::default()
+    };
+    let size = cfg.global_mem_bytes;
+    let image = |dev: &Device| dev.read_bytes(global_addr(0), size as usize).unwrap();
+    let fresh = image(&Device::new(&module, cfg.clone()).unwrap());
+
+    let mut dev = Device::new(&module, cfg).unwrap();
+    let buf = dev.alloc_f64(&[0.0; 4]).unwrap();
+    // Element index of a slot 3/4 of the way up global memory, far
+    // above the bump cursor.
+    let off = ((size * 3 / 4) - (buf - global_addr(0))) / 8;
+    dev.launch(
+        "poke",
+        &[RtVal::Ptr(buf), RtVal::I64(off as i64)],
+        LaunchDims {
+            teams: Some(1),
+            threads: Some(4),
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        dev.read_f64(buf + off * 8, 4).unwrap(),
+        [7.0, 8.0, 9.0, 10.0]
+    );
+    // `buf` is the last allocation, so its end is the bump cursor.
+    assert!(off >= 4, "the store must land past the bump cursor");
+    dev.reset();
+    assert!(
+        image(&dev) == fresh,
+        "reset must clear kernel stores past the bump cursor"
+    );
+
+    // A host write to the very last byte of global memory.
+    dev.write_bytes(global_addr(size - 1), &[0xAB]).unwrap();
+    dev.reset();
+    assert!(
+        image(&dev) == fresh,
+        "reset must clear host writes outside any buffer"
     );
 }

@@ -4,7 +4,7 @@
 # criterion resolve to the in-tree shims).
 #
 #   tools/ci.sh          # run everything
-#   tools/ci.sh fmt      # one stage: fmt | clippy | test | bench | smoke
+#   tools/ci.sh fmt      # one stage: fmt | clippy | test | perfbench | bench | smoke
 #
 # Exits non-zero on the first failing stage. The `bench` stage is
 # informational: it regenerates BENCH_gpusim.json (simulator wall-clock
@@ -19,7 +19,11 @@
 # code), and runs a chaos leg (4 concurrent clients of mixed
 # good/malformed/fault-injected traffic against a tiny admission
 # queue; every reply structured, warm==cold afterwards, no panics,
-# clean shutdown); it IS part of `all`.
+# clean shutdown); it IS part of `all`. The `perfbench` stage runs the
+# benchmark's determinism self-tests (release build of the separate
+# perfbench workspace), including the serve replay mirror checked
+# against an in-process Session across device resets; it IS part of
+# `all`.
 
 set -eu
 
@@ -51,6 +55,11 @@ run_test() {
     OMPGPU_TIER=interp cargo run -q -p omp-gpu --bin ompgpu --offline -- \
         verify --scale small > /dev/null
     echo "verify: interpreter tier passed"
+}
+
+run_perfbench() {
+    echo "==> perfbench self-tests (cargo test --release)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 run_bench() {
@@ -448,17 +457,19 @@ case "$stage" in
     fmt) run_fmt ;;
     clippy) run_clippy ;;
     test) run_test ;;
+    perfbench) run_perfbench ;;
     bench) run_bench ;;
     smoke) run_smoke ;;
     all)
         run_fmt
         run_clippy
         run_test
+        run_perfbench
         run_smoke
         echo "==> tier-1 gate passed"
         ;;
     *)
-        echo "usage: tools/ci.sh [fmt|clippy|test|bench|smoke]" >&2
+        echo "usage: tools/ci.sh [fmt|clippy|test|perfbench|bench|smoke]" >&2
         exit 2
         ;;
 esac
