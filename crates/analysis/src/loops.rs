@@ -63,7 +63,7 @@ impl LoopForest {
         headers.sort_by_key(|h| dom.rpo.iter().position(|b| b == h));
 
         // 2. Per header: walk predecessors backwards from the latches.
-        let preds = f.predecessors();
+        let preds = f.predecessor_table();
         let mut loops: Vec<Loop> = Vec::new();
         for header in headers {
             let latches = latches_of.remove(&header).unwrap_or_default();
@@ -74,7 +74,7 @@ impl LoopForest {
                     continue;
                 }
                 blocks.push(b);
-                for &p in preds.get(&b).into_iter().flatten() {
+                for &p in &preds[b.index()] {
                     if dom.is_reachable(p) {
                         stack.push(p);
                     }

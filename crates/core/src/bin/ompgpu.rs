@@ -1108,9 +1108,18 @@ fn profile_main(args: &[String]) -> ExitCode {
             },
             "--all-configs" => all_configs = true,
             "--kernel" => kernel = it.next().cloned(),
-            "--teams" => teams = it.next().and_then(|s| s.parse().ok()),
-            "--threads" => threads = it.next().and_then(|s| s.parse().ok()),
-            "--jobs" => jobs = it.next().and_then(|s| s.parse().ok()),
+            "--teams" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => teams = Some(n),
+                None => return usage(),
+            },
+            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => threads = Some(n),
+                None => return usage(),
+            },
+            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => jobs = Some(n),
+                None => return usage(),
+            },
             "--trace" => trace = it.next().cloned(),
             "--json" => json = true,
             "--time-passes" => time_passes = true,
@@ -1288,15 +1297,30 @@ fn main() -> ExitCode {
             "--time-passes" => time_passes = true,
             "--json" => json = true,
             "--kernel" => kernel = it.next().cloned(),
-            "--teams" => teams = it.next().and_then(|s| s.parse().ok()),
-            "--threads" => threads = it.next().and_then(|s| s.parse().ok()),
-            "--jobs" => jobs = it.next().and_then(|s| s.parse().ok()),
-            "--max-insts" => max_insts = it.next().and_then(|s| s.parse().ok()),
+            "--teams" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => teams = Some(n),
+                None => return usage(),
+            },
+            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => threads = Some(n),
+                None => return usage(),
+            },
+            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => jobs = Some(n),
+                None => return usage(),
+            },
+            "--max-insts" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => max_insts = Some(n),
+                None => return usage(),
+            },
             "--tier" => match it.next().and_then(|s| Tier::parse(s)) {
                 Some(t) => tier = Some(t),
                 None => return usage(),
             },
-            "--dump" => dump = it.next().and_then(|s| s.parse().ok()).unwrap_or(8),
+            "--dump" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => dump = n,
+                None => return usage(),
+            },
             "--arg" => match it.next().and_then(|s| ArgSpec::parse_colon(s)) {
                 Some(s) => specs.push(s),
                 None => return usage(),

@@ -157,7 +157,12 @@ impl PassManager {
         self.record("early-inline", t0, before, module_shape(module));
         self.cache.invalidate_all();
         let (before, t0) = (module_shape(module), Instant::now());
-        let mut report = omp_opt::run(module, cfg);
+        // Each step of openmp-opt gets a span of its own inside the
+        // pass: `openmp-opt.<step>` in category `openmp-opt`.
+        let mut report = omp_opt::run_steps(module, cfg, &mut |step, run| {
+            let _span = omp_telemetry::span_lazy("openmp-opt", || format!("openmp-opt.{step}"));
+            run()
+        });
         self.record("openmp-opt", t0, before, module_shape(module));
         self.cache.invalidate_all();
         let (before, t0) = (module_shape(module), Instant::now());

@@ -2,37 +2,45 @@
 
 use crate::function::Function;
 use crate::value::BlockId;
-use std::collections::HashMap;
+
+/// Marks a block without dominator information (unreachable or not a
+/// block of the function) in the per-block tables.
+const NONE: u32 = u32::MAX;
 
 /// The dominator tree of a function's CFG.
 ///
 /// Blocks unreachable from the entry have no dominator information and
 /// are reported as not dominated by (and not dominating) anything except
-/// themselves.
+/// themselves. Per-block facts live in tables indexed by
+/// [`BlockId::index`], so every query is a constant-time lookup.
 #[derive(Debug, Clone)]
 pub struct DomTree {
     /// Reverse postorder of reachable blocks (entry first).
     pub rpo: Vec<BlockId>,
-    idom: HashMap<BlockId, BlockId>,
-    rpo_index: HashMap<BlockId, usize>,
+    /// Immediate dominator per block (the entry is its own); `NONE` for
+    /// unreachable blocks.
+    idom: Vec<u32>,
+    /// Position in `rpo` per block; `NONE` for unreachable blocks.
+    rpo_index: Vec<u32>,
 }
 
 impl DomTree {
     /// Computes the dominator tree of `f`.
     pub fn compute(f: &Function) -> DomTree {
         let entry = f.entry();
+        let slots = f.block_slots();
         // DFS postorder.
         let mut post = Vec::new();
-        let mut state: HashMap<BlockId, u8> = HashMap::new();
+        let mut seen = vec![false; slots];
         let mut stack = vec![(entry, 0usize)];
-        state.insert(entry, 1);
+        seen[entry.index()] = true;
         while let Some((b, i)) = stack.pop() {
             let succs = f.block(b).term.successors();
             if i < succs.len() {
                 stack.push((b, i + 1));
                 let s = succs[i];
-                if let std::collections::hash_map::Entry::Vacant(e) = state.entry(s) {
-                    e.insert(1);
+                if !seen[s.index()] {
+                    seen[s.index()] = true;
                     stack.push((s, 0));
                 }
             } else {
@@ -40,31 +48,32 @@ impl DomTree {
             }
         }
         let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        let mut rpo_index = vec![NONE; slots];
+        for (i, &b) in rpo.iter().enumerate() {
+            rpo_index[b.index()] = i as u32;
+        }
 
-        let preds = f.predecessors();
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
+        let preds = f.predecessor_table();
+        let mut idom = vec![NONE; slots];
+        idom[entry.index()] = entry.0;
         let mut changed = true;
         while changed {
             changed = false;
             for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in preds.get(&b).into_iter().flatten() {
-                    if !idom.contains_key(&p) {
+                let mut new_idom = NONE;
+                for &p in &preds[b.index()] {
+                    if idom[p.index()] == NONE {
                         continue; // not yet processed / unreachable
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => Self::intersect(&idom, &rpo_index, p, cur),
-                    });
+                    new_idom = if new_idom == NONE {
+                        p.0
+                    } else {
+                        Self::intersect(&idom, &rpo_index, p.0, new_idom)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
+                if new_idom != NONE && idom[b.index()] != new_idom {
+                    idom[b.index()] = new_idom;
+                    changed = true;
                 }
             }
         }
@@ -75,30 +84,30 @@ impl DomTree {
         }
     }
 
-    fn intersect(
-        idom: &HashMap<BlockId, BlockId>,
-        rpo_index: &HashMap<BlockId, usize>,
-        mut a: BlockId,
-        mut b: BlockId,
-    ) -> BlockId {
+    fn intersect(idom: &[u32], rpo_index: &[u32], mut a: u32, mut b: u32) -> u32 {
         while a != b {
-            while rpo_index[&a] > rpo_index[&b] {
-                a = idom[&a];
+            while rpo_index[a as usize] > rpo_index[b as usize] {
+                a = idom[a as usize];
             }
-            while rpo_index[&b] > rpo_index[&a] {
-                b = idom[&b];
+            while rpo_index[b as usize] > rpo_index[a as usize] {
+                b = idom[b as usize];
             }
         }
         a
     }
 
+    /// The raw immediate dominator of a reachable block (the entry's is
+    /// itself).
+    fn idom_raw(&self, b: BlockId) -> BlockId {
+        BlockId(self.idom[b.index()])
+    }
+
     /// The immediate dominator of `b` (`None` for the entry block and for
     /// unreachable blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        match self.idom.get(&b) {
-            Some(&d) if d != b || self.rpo_index.get(&b) != Some(&0) => Some(d),
-            Some(_) => None, // entry
-            None => None,
+        match self.rpo_index.get(b.index()) {
+            Some(&i) if i != NONE && i != 0 => Some(self.idom_raw(b)),
+            _ => None,
         }
     }
 
@@ -112,7 +121,7 @@ impl DomTree {
             if cur == a {
                 return true;
             }
-            let next = self.idom[&cur];
+            let next = self.idom_raw(cur);
             if next == cur {
                 return false; // reached entry
             }
@@ -122,32 +131,34 @@ impl DomTree {
 
     /// Whether `b` is reachable from the entry block.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index.contains_key(&b)
+        self.rpo_index.get(b.index()).is_some_and(|&i| i != NONE)
     }
 
-    /// The dominance frontier of every reachable block.
-    pub fn dominance_frontiers(&self, f: &Function) -> HashMap<BlockId, Vec<BlockId>> {
-        let preds = f.predecessors();
-        let mut df: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    /// The dominance frontier of every block, indexed by
+    /// [`BlockId::index`] (length [`Function::block_slots`]).
+    /// Unreachable blocks have empty frontiers.
+    pub fn dominance_frontiers(&self, f: &Function) -> Vec<Vec<BlockId>> {
+        let preds = f.predecessor_table();
+        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); self.idom.len()];
         for &b in &self.rpo {
-            let ps = match preds.get(&b) {
-                Some(p) if p.len() >= 2 => p,
-                _ => continue,
-            };
-            let Some(b_idom) = self.idom.get(&b).copied() else {
+            let ps = &preds[b.index()];
+            if ps.len() < 2 {
                 continue;
-            };
+            }
+            let b_idom = self.idom_raw(b);
             for &p in ps {
                 if !self.is_reachable(p) {
                     continue;
                 }
                 let mut runner = p;
                 while runner != b_idom {
-                    let e = df.entry(runner).or_default();
-                    if !e.contains(&b) {
+                    let e = &mut df[runner.index()];
+                    // `b` is pushed for every runner before moving on
+                    // to the next block, so it can only be the last.
+                    if e.last() != Some(&b) {
                         e.push(b);
                     }
-                    let next = self.idom[&runner];
+                    let next = self.idom_raw(runner);
                     if next == runner {
                         break;
                     }
@@ -202,10 +213,10 @@ mod tests {
         let (f, e, a, b, j) = diamond();
         let dt = DomTree::compute(&f);
         let df = dt.dominance_frontiers(&f);
-        assert_eq!(df.get(&a), Some(&vec![j]));
-        assert_eq!(df.get(&b), Some(&vec![j]));
-        assert_eq!(df.get(&e), None);
-        assert_eq!(df.get(&j), None);
+        assert_eq!(df[a.index()], vec![j]);
+        assert_eq!(df[b.index()], vec![j]);
+        assert!(df[e.index()].is_empty());
+        assert!(df[j.index()].is_empty());
     }
 
     #[test]
@@ -232,8 +243,8 @@ mod tests {
         assert!(!dt.dominates(body, x));
         // back-edge gives header a frontier containing itself
         let df = dt.dominance_frontiers(&f);
-        assert!(df.get(&body).is_some_and(|v| v.contains(&h)));
-        assert!(df.get(&h).is_some_and(|v| v.contains(&h)));
+        assert!(df[body.index()].contains(&h));
+        assert!(df[h.index()].contains(&h));
     }
 
     #[test]

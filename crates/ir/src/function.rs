@@ -135,13 +135,25 @@ impl Function {
     /// block's instructions are freed too. Callers must have rewired all
     /// branches and phis beforehand.
     pub fn remove_block(&mut self, id: BlockId) {
-        if let Some(Some(data)) = self.blocks.get(id.index()) {
-            for &i in &data.insts.clone() {
-                self.insts[i.index()] = None;
-            }
+        self.remove_blocks(&[id]);
+    }
+
+    /// Removes a batch of blocks with a single pass over the layout. Same
+    /// contract as [`Function::remove_block`].
+    pub fn remove_blocks(&mut self, ids: &[BlockId]) {
+        if ids.is_empty() {
+            return;
         }
-        self.blocks[id.index()] = None;
-        self.layout.retain(|&b| b != id);
+        let mut dead = vec![false; self.blocks.len()];
+        for &id in ids {
+            if let Some(data) = self.blocks[id.index()].take() {
+                for i in data.insts {
+                    self.insts[i.index()] = None;
+                }
+            }
+            dead[id.index()] = true;
+        }
+        self.layout.retain(|&b| !dead[b.index()]);
     }
 
     /// Blocks in layout order (entry first).
@@ -247,6 +259,19 @@ impl Function {
         self.insts[id.index()] = Some(kind);
     }
 
+    /// Size of the instruction arena: every [`InstId`] of this function,
+    /// live or removed, has an index below it. Lets passes keep
+    /// per-instruction tables in plain vectors.
+    pub fn inst_slots(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// Size of the block arena: every [`BlockId`] of this function,
+    /// live or removed, has an index below it.
+    pub fn block_slots(&self) -> usize {
+        self.blocks.len()
+    }
+
     /// Total number of live instructions.
     pub fn num_insts(&self) -> usize {
         self.layout.iter().map(|&b| self.block(b).insts.len()).sum()
@@ -277,9 +302,9 @@ impl Function {
         }
     }
 
-    /// Replaces every use of `from` with `to`, in instructions and
-    /// terminators alike.
-    pub fn replace_all_uses(&mut self, from: Value, to: Value) {
+    /// Rewrites every operand of every placed instruction and terminator
+    /// through `f`, in layout order, in one traversal.
+    pub fn map_all_operands(&mut self, mut f: impl FnMut(Value) -> Value) {
         // Split field borrows: walk the layout in place, no id-list
         // clones on this (very hot) path.
         for &b in &self.layout {
@@ -288,10 +313,16 @@ impl Function {
                 self.insts[i.index()]
                     .as_mut()
                     .expect("dead instruction")
-                    .map_operands(|v| if v == from { to } else { v });
+                    .map_operands(&mut f);
             }
-            block.term.map_operands(|v| if v == from { to } else { v });
+            block.term.map_operands(&mut f);
         }
+    }
+
+    /// Replaces every use of `from` with `to`, in instructions and
+    /// terminators alike.
+    pub fn replace_all_uses(&mut self, from: Value, to: Value) {
+        self.map_all_operands(|v| if v == from { to } else { v });
     }
 
     /// Applies a whole substitution map in a single pass: every operand
@@ -300,20 +331,8 @@ impl Function {
     /// inserted verbatim). One traversal regardless of map size — use
     /// this instead of repeated [`Function::replace_all_uses`] calls.
     pub fn replace_uses_bulk(&mut self, map: &HashMap<Value, Value>) {
-        if map.is_empty() {
-            return;
-        }
-        for &b in &self.layout {
-            let block = self.blocks[b.index()].as_mut().expect("dead block");
-            for &i in &block.insts {
-                self.insts[i.index()]
-                    .as_mut()
-                    .expect("dead instruction")
-                    .map_operands(|v| map.get(&v).copied().unwrap_or(v));
-            }
-            block
-                .term
-                .map_operands(|v| map.get(&v).copied().unwrap_or(v));
+        if !map.is_empty() {
+            self.map_all_operands(|v| map.get(&v).copied().unwrap_or(v));
         }
     }
 
@@ -337,13 +356,18 @@ impl Function {
         n
     }
 
-    /// Computes the predecessor map over live blocks.
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> =
-            self.block_ids().map(|b| (b, Vec::new())).collect();
+    /// Predecessor lists indexed by [`BlockId::index`] (length
+    /// [`Function::block_slots`]): for every live block, the blocks that
+    /// branch to it in layout order, once per edge. Removed slots and
+    /// blocks without predecessors have empty lists; branches to ids
+    /// outside the arena are ignored.
+    pub fn predecessor_table(&self) -> Vec<Vec<BlockId>> {
+        let mut preds = vec![Vec::new(); self.blocks.len()];
         for b in self.block_ids() {
             for s in self.block(b).term.successors() {
-                preds.entry(s).or_default().push(b);
+                if let Some(list) = preds.get_mut(s.index()) {
+                    list.push(b);
+                }
             }
         }
         preds
@@ -455,12 +479,10 @@ mod tests {
         };
         f.block_mut(a).term = Terminator::Br(b);
         f.block_mut(b).term = Terminator::Ret(None);
-        let preds = f.predecessors();
-        assert_eq!(preds[&e], vec![]);
-        assert_eq!(preds[&a], vec![e]);
-        let mut pb = preds[&b].clone();
-        pb.sort();
-        assert_eq!(pb, vec![e, a]);
+        let preds = f.predecessor_table();
+        assert_eq!(preds[e.index()], vec![]);
+        assert_eq!(preds[a.index()], vec![e]);
+        assert_eq!(preds[b.index()], vec![e, a]);
     }
 
     #[test]

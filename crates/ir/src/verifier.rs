@@ -89,7 +89,7 @@ fn verify_function(m: &Module, fid: FuncId, errs: &mut Vec<VerifyError>) {
         }
     }
 
-    let preds = f.predecessors();
+    let preds = f.predecessor_table();
     let dt = DomTree::compute(f);
 
     // Type and dominance checks per instruction.
@@ -108,8 +108,7 @@ fn verify_function(m: &Module, fid: FuncId, errs: &mut Vec<VerifyError>) {
                     err(format!("phi {i} not at head of block {b}"));
                 }
                 if let InstKind::Phi { incoming, .. } = kind {
-                    let ps: HashSet<BlockId> =
-                        preds.get(&b).into_iter().flatten().copied().collect();
+                    let ps: HashSet<BlockId> = preds[b.index()].iter().copied().collect();
                     let inc: HashSet<BlockId> = incoming.iter().map(|(p, _)| *p).collect();
                     if dt.is_reachable(b) && ps != inc {
                         err(format!(

@@ -159,70 +159,108 @@ impl OptReport {
 
 /// Runs the OpenMP optimization pipeline on `m`.
 pub fn run(m: &mut Module, cfg: &OpenMpOptConfig) -> OptReport {
+    run_steps(m, cfg, &mut |_, step| step())
+}
+
+/// [`run`], with every step executed as `around(name, step)` so the
+/// caller can trace or time it. The steps, in order, each present when
+/// `cfg` runs it: `early-cleanup`, `internalize`, `alloc-facts`,
+/// `csm-feasibility`, `spmdization`, `heap-to-stack`, `heap-to-shared`,
+/// `state-machine`, `folding-1`, `cleanup-1`, `folding-2`, `cleanup-2`.
+pub fn run_steps(
+    m: &mut Module,
+    cfg: &OpenMpOptConfig,
+    around: &mut dyn FnMut(&'static str, &mut dyn FnMut()),
+) -> OptReport {
     let mut report = OptReport::default();
 
     // 0. Early cleanup: promote memory to SSA so the inter-procedural
     //    analyses see through parameter cells (LLVM runs SROA/mem2reg
     //    before OpenMPOpt for the same reason).
     if cfg.run_cleanup_pipeline {
-        accumulate(&mut report.cleanup, omp_passes::run_pipeline(m));
+        around("early-cleanup", &mut || {
+            accumulate(&mut report.cleanup, omp_passes::run_pipeline(m))
+        });
     }
 
     // 1. Internalization.
     if !cfg.disable_internalization {
-        report.counts.internalized = internalize::run_with_remarks(m, &mut report.remarks);
+        around("internalize", &mut || {
+            report.counts.internalized = internalize::run_with_remarks(m, &mut report.remarks)
+        });
     }
 
     // 2. Snapshot main-thread-only allocation facts and recursion before
     //    SPMDization rewrites control flow.
-    let (main_only_allocs, recursive) = collect_alloc_facts(m);
+    let mut facts = Default::default();
+    around("alloc-facts", &mut || facts = collect_alloc_facts(m));
+    let (main_only_allocs, recursive) = facts;
 
     // 3. Custom-state-machine feasibility (analysis only, for Figure 9's
     //    parenthesized counts).
-    report.counts.csm_possible = state_machine::possible(m);
+    around("csm-feasibility", &mut || {
+        report.counts.csm_possible = state_machine::possible(m)
+    });
 
     // 4. SPMDization.
     if !cfg.disable_spmdization {
-        let r = spmdization::run_with_grouping(m, !cfg.disable_guard_grouping, &mut report.remarks);
-        report.counts.spmdized = r.spmdized;
-        report.counts.guard_regions = r.guard_regions;
-        report.counts.broadcasts = r.broadcasts;
+        around("spmdization", &mut || {
+            let r =
+                spmdization::run_with_grouping(m, !cfg.disable_guard_grouping, &mut report.remarks);
+            report.counts.spmdized = r.spmdized;
+            report.counts.guard_regions = r.guard_regions;
+            report.counts.broadcasts = r.broadcasts;
+        });
     }
 
     // 5. Deglobalization: HeapToStack (with capture chasing after
     //    devirtualization), then HeapToShared for the rest.
     if !cfg.disable_deglobalization {
-        let h2s = heap_to_stack::run(m, cfg.spmd_capture_heap_to_stack, &mut report.remarks);
-        report.counts.heap_to_stack = h2s.moved;
-        let h2sh = heap_to_shared::run(m, &main_only_allocs, &recursive, &mut report.remarks);
-        report.counts.heap_to_shared = h2sh.moved;
+        around("heap-to-stack", &mut || {
+            let h2s = heap_to_stack::run(m, cfg.spmd_capture_heap_to_stack, &mut report.remarks);
+            report.counts.heap_to_stack = h2s.moved;
+        });
+        around("heap-to-shared", &mut || {
+            let h2sh = heap_to_shared::run(m, &main_only_allocs, &recursive, &mut report.remarks);
+            report.counts.heap_to_shared = h2sh.moved;
+        });
     }
 
     // 6. Custom state machine for kernels that stayed generic.
     if !cfg.disable_state_machine_rewrite {
-        let r = state_machine::run(m, &mut report.remarks);
-        report.counts.csm_rewritten = r.rewritten;
-        report.counts.csm_with_fallback = r.with_fallback;
+        around("state-machine", &mut || {
+            let r = state_machine::run(m, &mut report.remarks);
+            report.counts.csm_rewritten = r.rewritten;
+            report.counts.csm_with_fallback = r.with_fallback;
+        });
     }
 
     // 7. Runtime-call folding.
     if !cfg.disable_folding {
-        let f = folding::run(m, &mut report.remarks);
-        report.counts.folds_exec_mode = f.exec_mode;
-        report.counts.folds_parallel_level = f.parallel_level;
-        report.counts.folds_launch_params = f.launch_params;
+        around("folding-1", &mut || {
+            let f = folding::run(m, &mut report.remarks);
+            report.counts.folds_exec_mode = f.exec_mode;
+            report.counts.folds_parallel_level = f.parallel_level;
+            report.counts.folds_launch_params = f.launch_params;
+        });
     }
 
     // 8. Cleanup + a second folding round (folding exposes constants the
     //    pipeline propagates, which can expose more foldable calls).
     if cfg.run_cleanup_pipeline {
-        accumulate(&mut report.cleanup, omp_passes::run_pipeline(m));
+        around("cleanup-1", &mut || {
+            accumulate(&mut report.cleanup, omp_passes::run_pipeline(m))
+        });
         if !cfg.disable_folding {
-            let f = folding::run(m, &mut report.remarks);
-            report.counts.folds_exec_mode += f.exec_mode;
-            report.counts.folds_parallel_level += f.parallel_level;
-            report.counts.folds_launch_params += f.launch_params;
-            accumulate(&mut report.cleanup, omp_passes::run_pipeline(m));
+            around("folding-2", &mut || {
+                let f = folding::run(m, &mut report.remarks);
+                report.counts.folds_exec_mode += f.exec_mode;
+                report.counts.folds_parallel_level += f.parallel_level;
+                report.counts.folds_launch_params += f.launch_params;
+            });
+            around("cleanup-2", &mut || {
+                accumulate(&mut report.cleanup, omp_passes::run_pipeline(m))
+            });
         }
     }
 

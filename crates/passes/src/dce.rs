@@ -6,8 +6,7 @@
 //! queries) — removing dead runtime queries is exactly what makes the
 //! paper's folding optimization shrink kernels.
 
-use omp_ir::{FuncId, InstKind, Module, RtlFn, Value};
-use std::collections::HashSet;
+use omp_ir::{FuncId, InstId, InstKind, Module, RtlFn, Value};
 
 /// Runs DCE on every function. Returns the number of removed
 /// instructions.
@@ -36,45 +35,56 @@ fn call_is_removable(m: &Module, callee: &Value) -> bool {
     }
 }
 
+/// Removes every instruction that is dead once all dead instructions
+/// are gone: use counts per instruction, and a worklist seeded with the
+/// removable instructions nobody uses. Removing one decrements its
+/// operands' counts and queues those that drop to zero. Linear in the
+/// function size; dead phi cycles keep each other alive.
 fn run_function(m: &mut Module, fid: FuncId) -> usize {
-    let mut removed = 0;
-    loop {
-        let f = m.func(fid);
-        // Collect all used values.
-        let mut used: HashSet<Value> = HashSet::new();
-        f.for_each_inst(|_, _, k| {
-            k.for_each_operand(|v| {
-                used.insert(v);
-            })
-        });
-        for b in f.block_ids() {
-            f.block(b).term.for_each_operand(|v| {
-                used.insert(v);
-            });
+    let f = m.func(fid);
+    let mut uses = vec![0u32; f.inst_slots()];
+    let mut placed = vec![false; f.inst_slots()];
+    let count = |uses: &mut [u32], v: Value| {
+        if let Value::Inst(i) = v {
+            uses[i.index()] += 1;
         }
-        let mut dead = Vec::new();
-        for (_, i) in f.inst_ids() {
-            if used.contains(&Value::Inst(i)) {
-                continue;
-            }
-            let k = f.inst(i);
-            let removable = match k {
-                InstKind::Call { callee, .. } => call_is_removable(m, callee),
-                InstKind::Store { .. } => false,
-                InstKind::Load { .. } => true, // dead load has no effect here
-                _ => k.is_removable_if_unused(),
-            };
-            if removable {
-                dead.push(i);
-            }
+    };
+    for b in f.block_ids() {
+        for &i in &f.block(b).insts {
+            placed[i.index()] = true;
+            f.inst(i).for_each_operand(|v| count(&mut uses, v));
         }
-        if dead.is_empty() {
-            break;
-        }
-        let fm = m.func_mut(fid);
-        fm.remove_insts(&dead);
-        removed += dead.len();
+        f.block(b).term.for_each_operand(|v| count(&mut uses, v));
     }
+    let removable = |i: InstId| {
+        let k = f.inst(i);
+        match k {
+            InstKind::Call { callee, .. } => call_is_removable(m, callee),
+            InstKind::Store { .. } => false,
+            InstKind::Load { .. } => true, // dead load has no effect here
+            _ => k.is_removable_if_unused(),
+        }
+    };
+    let mut work: Vec<InstId> = f
+        .inst_ids()
+        .map(|(_, i)| i)
+        .filter(|&i| uses[i.index()] == 0 && removable(i))
+        .collect();
+    let mut dead = Vec::new();
+    while let Some(i) = work.pop() {
+        dead.push(i);
+        f.inst(i).for_each_operand(|v| {
+            if let Value::Inst(o) = v {
+                let n = &mut uses[o.index()];
+                *n -= 1;
+                if *n == 0 && placed[o.index()] && removable(o) {
+                    work.push(o);
+                }
+            }
+        });
+    }
+    let removed = dead.len();
+    m.func_mut(fid).remove_insts(&dead);
     removed
 }
 

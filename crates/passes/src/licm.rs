@@ -185,11 +185,8 @@ fn speculatable(m: &Module, kind: &InstKind) -> bool {
 /// unique unconditional out-of-loop predecessor.
 fn ensure_preheader(m: &mut Module, fid: FuncId, lp: &Loop) -> BlockId {
     let f = m.func_mut(fid);
-    let preds = f.predecessors();
-    let outside: Vec<BlockId> = preds
-        .get(&lp.header)
-        .into_iter()
-        .flatten()
+    let outside: Vec<BlockId> = f.predecessor_table()[lp.header.index()]
+        .iter()
         .copied()
         .filter(|p| !lp.contains(*p))
         .collect();

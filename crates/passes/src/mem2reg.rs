@@ -4,9 +4,14 @@
 //! (no address arithmetic, no escape) into SSA values with phi nodes at
 //! dominance frontiers. In the pipeline this runs after HeapToStack so
 //! the paper's "use local memory (aka. registers)" effect materializes.
+//!
+//! A function is promoted in one go, in time linear in its size plus
+//! the phis placed: one scan classifies every alloca, phis go at the
+//! iterated dominance frontier of each alloca's stores, and one
+//! renaming walk over the CFG carries the current value of every
+//! promoted alloca at once.
 
-use omp_ir::{BlockId, DomTree, FuncId, Function, InstId, InstKind, Module, Type, Value};
-use std::collections::{HashMap, HashSet};
+use omp_ir::{BlockId, DomTree, Function, InstId, InstKind, Module, Type, Value};
 
 /// Runs mem2reg on every function definition. Returns the number of
 /// promoted allocas.
@@ -14,233 +19,246 @@ pub fn run(m: &mut Module) -> usize {
     let mut count = 0;
     for fid in m.func_ids().collect::<Vec<_>>() {
         if !m.func(fid).is_declaration() {
-            count += promote_function(m, fid);
+            count += promote_function(m.func_mut(fid));
         }
     }
     count
 }
 
-/// Whether the alloca can be promoted: every use is a load of the full
-/// value or a store *to* it (not of it), and all loads/stores use one
-/// consistent type.
-fn promotable(f: &Function, alloca: InstId) -> Option<Type> {
-    let ptr = Value::Inst(alloca);
-    let mut ty: Option<Type> = None;
-    let mut ok = true;
-    f.for_each_inst(|_, _, kind| match kind {
-        InstKind::Load { ptr: p, ty: t } if *p == ptr => match ty {
-            None => ty = Some(*t),
-            Some(prev) if prev == *t => {}
-            _ => ok = false,
-        },
-        InstKind::Store { ptr: p, val } if *p == ptr => {
-            if *val == ptr {
-                ok = false;
-            } else {
-                let vt = f.value_type(*val);
-                match ty {
-                    None => ty = Some(vt),
-                    Some(prev) if prev == vt => {}
-                    _ => ok = false,
-                }
-            }
-        }
-        other => {
-            let mut used = false;
-            other.for_each_operand(|v| used |= v == ptr);
-            if used {
-                ok = false;
-            }
-        }
-    });
-    // Also check terminators (e.g. returning the pointer).
-    for b in f.block_ids() {
-        f.block(b).term.for_each_operand(|v| {
-            if v == ptr {
-                ok = false;
-            }
-        });
-    }
-    if ok {
-        ty
-    } else {
-        None
+/// How a value is used as a pointer, accumulated over the function.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Access {
+    /// Never loaded from or stored to.
+    Unused,
+    /// Every use is a load or a store *to* it, all of this type.
+    Whole(Type),
+    /// Some other use (address arithmetic, escape, stored as a value,
+    /// a return or branch operand) or two access types.
+    Other,
+}
+
+impl Access {
+    fn access(&mut self, ty: Type) {
+        *self = match *self {
+            Access::Unused => Access::Whole(ty),
+            Access::Whole(t) if t == ty => Access::Whole(t),
+            _ => Access::Other,
+        };
     }
 }
 
-fn promote_function(m: &mut Module, fid: FuncId) -> usize {
-    let f = m.func(fid);
-    let allocas: Vec<(InstId, Type)> = f
-        .inst_ids()
-        .filter_map(|(_, i)| match f.inst(i) {
-            InstKind::Alloca { .. } => promotable(f, i).map(|t| (i, t)),
-            _ => None,
-        })
-        .collect();
+/// Marks `v` as used other than by a whole-value load or store.
+fn escape(access: &mut [Access], v: Value) {
+    if let Value::Inst(i) = v {
+        access[i.index()] = Access::Other;
+    }
+}
+
+/// Sentinel in the per-instruction slot table: not a promoted alloca.
+const NOT_PROMOTED: u32 = u32::MAX;
+
+/// One step of the renaming walk.
+enum Step {
+    /// Rename in this block (skipped if already visited).
+    Enter(BlockId),
+    /// All blocks entered from the current one are done: roll the
+    /// current values back to this undo-log length.
+    Leave(usize),
+}
+
+fn promote_function(f: &mut Function) -> usize {
+    // 1. Classify every pointer use in one scan. An alloca is promotable
+    //    when every use is a load of the full value or a store *to* it
+    //    (not of it), all with one type.
+    let mut access = vec![Access::Unused; f.inst_slots()];
+    let mut stores: Vec<(InstId, BlockId)> = Vec::new();
+    for b in f.block_ids() {
+        for &i in &f.block(b).insts {
+            match f.inst(i) {
+                InstKind::Load {
+                    ptr: Value::Inst(a),
+                    ty,
+                } => access[a.index()].access(*ty),
+                InstKind::Store { ptr, val } => {
+                    if let Value::Inst(a) = *ptr {
+                        if *val == *ptr {
+                            access[a.index()] = Access::Other;
+                        } else {
+                            access[a.index()].access(f.value_type(*val));
+                            stores.push((a, b));
+                        }
+                    }
+                    escape(&mut access, *val);
+                }
+                other => other.for_each_operand(|v| escape(&mut access, v)),
+            }
+        }
+        f.block(b).term.for_each_operand(|v| escape(&mut access, v));
+    }
+    let mut slot = vec![NOT_PROMOTED; f.inst_slots()];
+    let mut allocas: Vec<(InstId, Type)> = Vec::new();
+    for (_, i) in f.inst_ids() {
+        if let (InstKind::Alloca { .. }, Access::Whole(ty)) = (f.inst(i), access[i.index()]) {
+            slot[i.index()] = allocas.len() as u32;
+            allocas.push((i, ty));
+        }
+    }
     if allocas.is_empty() {
         return 0;
     }
+    let slot_of = |v: &Value| match v {
+        Value::Inst(i) if slot[i.index()] != NOT_PROMOTED => Some(slot[i.index()] as usize),
+        _ => None,
+    };
+
+    // 2. Phi placement at the iterated dominance frontier of each
+    //    alloca's store blocks. Ids are allocated alloca by alloca, in
+    //    block-id order within one alloca, and each phi goes in front of
+    //    its block's earlier phis.
     let dt = DomTree::compute(f);
     let df = dt.dominance_frontiers(f);
-
-    for &(alloca, ty) in &allocas {
-        promote_one(m, fid, alloca, ty, &dt, &df);
-    }
-    allocas.len()
-}
-
-fn promote_one(
-    m: &mut Module,
-    fid: FuncId,
-    alloca: InstId,
-    ty: Type,
-    dt: &DomTree,
-    df: &HashMap<BlockId, Vec<BlockId>>,
-) {
-    let ptr = Value::Inst(alloca);
-    // 1. Blocks containing stores (defs).
-    let f = m.func(fid);
-    let mut def_blocks: Vec<BlockId> = Vec::new();
-    for b in f.block_ids() {
-        if f.block(b)
-            .insts
-            .iter()
-            .any(|&i| matches!(f.inst(i), InstKind::Store { ptr: p, .. } if *p == ptr))
-        {
-            def_blocks.push(b);
-        }
-    }
-    // 2. Phi placement at iterated dominance frontiers.
-    let mut phi_blocks: HashSet<BlockId> = HashSet::new();
-    let mut work = def_blocks.clone();
-    while let Some(b) = work.pop() {
-        for &fr in df.get(&b).map(Vec::as_slice).unwrap_or(&[]) {
-            if phi_blocks.insert(fr) {
-                work.push(fr);
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
+    for (a, b) in stores {
+        if let Some(s) = slot_of(&Value::Inst(a)) {
+            // Stores are scanned block by block: one entry per block.
+            if def_blocks[s].last() != Some(&b) {
+                def_blocks[s].push(b);
             }
         }
     }
-    // Insert empty phis, in block order: HashSet iteration order is
-    // seeded per process, and instruction ids must not depend on it or
-    // the printed IR differs from run to run.
-    let mut phis: HashMap<BlockId, InstId> = HashMap::new();
-    let mut ordered_phi_blocks: Vec<BlockId> = phi_blocks.iter().copied().collect();
-    ordered_phi_blocks.sort();
-    for b in ordered_phi_blocks {
-        if !dt.is_reachable(b) {
-            continue;
+    let mut phi_mark = vec![NOT_PROMOTED; f.block_slots()];
+    let mut block_phis: Vec<Vec<(usize, InstId)>> = vec![Vec::new(); f.block_slots()];
+    for (s, work) in def_blocks.iter_mut().enumerate() {
+        let mut phi_blocks = Vec::new();
+        while let Some(b) = work.pop() {
+            for &fr in &df[b.index()] {
+                if phi_mark[fr.index()] != s as u32 {
+                    phi_mark[fr.index()] = s as u32;
+                    phi_blocks.push(fr);
+                    work.push(fr);
+                }
+            }
         }
-        let id = m.func_mut(fid).insert_inst(
-            b,
-            0,
-            InstKind::Phi {
+        phi_blocks.sort();
+        let ty = allocas[s].1;
+        for b in phi_blocks {
+            let phi = f.alloc_inst(InstKind::Phi {
                 ty,
                 incoming: vec![],
-            },
-        );
-        phis.insert(b, id);
-    }
-    // 3. Renaming walk over the dominator tree.
-    let f = m.func(fid);
-    let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    for &b in &dt.rpo {
-        if let Some(p) = dt.idom(b) {
-            children.entry(p).or_default().push(b);
+            });
+            block_phis[b.index()].push((s, phi));
         }
     }
-    let entry = f.entry();
-    // (block, incoming value)
-    let mut replacements: HashMap<InstId, Value> = HashMap::new(); // load -> value
+    for b in f.block_ids().collect::<Vec<_>>() {
+        let phis = &block_phis[b.index()];
+        if !phis.is_empty() {
+            let insts = &mut f.block_mut(b).insts;
+            insts.splice(0..0, phis.iter().rev().map(|&(_, phi)| phi));
+        }
+    }
+
+    // 3. One renaming walk for all allocas: a depth-first walk from the
+    //    entry in which each block starts from the values at the end of
+    //    the block that first reached it. `cur` holds the current value
+    //    per alloca; entering a block logs what it overwrites so leaving
+    //    can restore it. Loads are resolved as they are met: a store's
+    //    value dominates the store, so a load it names was already met
+    //    and mapped to its final value (no chains to chase later).
+    let mut cur: Vec<Value> = allocas.iter().map(|&(_, ty)| Value::Undef(ty)).collect();
+    let mut undo: Vec<(usize, Value)> = Vec::new();
+    let mut replacement: Vec<Option<Value>> = vec![None; f.inst_slots()];
     let mut removals: Vec<InstId> = Vec::new();
-    let mut phi_incomings: Vec<(InstId, BlockId, Value)> = Vec::new();
-    let mut stack: Vec<(BlockId, Value)> = vec![(entry, Value::Undef(ty))];
-    let mut visited: HashSet<BlockId> = HashSet::new();
-    while let Some((b, mut cur)) = stack.pop() {
-        if !visited.insert(b) {
-            continue;
-        }
-        if let Some(&phi) = phis.get(&b) {
-            cur = Value::Inst(phi);
+    let mut incomings: Vec<(InstId, BlockId, Value)> = Vec::new();
+    let mut visited = vec![false; f.block_slots()];
+    let mut stack = vec![Step::Enter(f.entry())];
+    while let Some(step) = stack.pop() {
+        let b = match step {
+            Step::Leave(mark) => {
+                for (s, v) in undo.drain(mark..).rev() {
+                    cur[s] = v;
+                }
+                continue;
+            }
+            Step::Enter(b) if !visited[b.index()] => b,
+            Step::Enter(_) => continue,
+        };
+        visited[b.index()] = true;
+        stack.push(Step::Leave(undo.len()));
+        let set = |cur: &mut [Value], undo: &mut Vec<_>, s: usize, v: Value| {
+            undo.push((s, std::mem::replace(&mut cur[s], v)));
+        };
+        for &(s, phi) in &block_phis[b.index()] {
+            set(&mut cur, &mut undo, s, Value::Inst(phi));
         }
         for &i in &f.block(b).insts {
             match f.inst(i) {
-                InstKind::Load { ptr: p, .. } if *p == ptr => {
-                    replacements.insert(i, cur);
-                    removals.push(i);
+                InstKind::Load { ptr, .. } => {
+                    if let Some(s) = slot_of(ptr) {
+                        replacement[i.index()] = Some(cur[s]);
+                        removals.push(i);
+                    }
                 }
-                InstKind::Store { ptr: p, val } if *p == ptr => {
-                    cur = *val;
-                    removals.push(i);
+                InstKind::Store { ptr, val } => {
+                    if let Some(s) = slot_of(ptr) {
+                        let v = match *val {
+                            Value::Inst(l) => replacement[l.index()].unwrap_or(*val),
+                            v => v,
+                        };
+                        set(&mut cur, &mut undo, s, v);
+                        removals.push(i);
+                    }
                 }
                 _ => {}
             }
         }
-        for s in f.block(b).term.successors() {
-            if let Some(&phi) = phis.get(&s) {
-                phi_incomings.push((phi, b, cur));
+        let succs = f.block(b).term.successors();
+        for (k, &succ) in succs.iter().enumerate() {
+            // A conditional branch with both edges to one block feeds
+            // its phis once.
+            if k == 0 || succ != succs[0] {
+                for &(s, phi) in &block_phis[succ.index()] {
+                    incomings.push((phi, b, cur[s]));
+                }
             }
-            if !visited.contains(&s) && dt.is_reachable(s) {
-                // Continue with the value along this edge; dominator-tree
-                // children inherit from their idom, which this walk
-                // approximates because we only push successors (every
-                // dominated block is reached through dominated paths).
-                stack.push((s, cur));
+            if !visited[succ.index()] {
+                stack.push(Step::Enter(succ));
             }
         }
-        let _ = &children;
     }
     // Loads and stores in unreachable blocks were never visited; patch
     // them so removing the alloca leaves no dangling uses.
-    for (_, i) in f.inst_ids() {
-        match f.inst(i) {
-            InstKind::Load { ptr: p, .. } if *p == ptr && !replacements.contains_key(&i) => {
-                replacements.insert(i, Value::Undef(ty));
-                removals.push(i);
-            }
-            InstKind::Store { ptr: p, .. } if *p == ptr && !removals.contains(&i) => {
-                removals.push(i);
-            }
-            _ => {}
+    for b in f.block_ids() {
+        if visited[b.index()] {
+            continue;
         }
-    }
-    // Apply phi incomings (dedup per (phi, pred)).
-    {
-        let fmut = m.func_mut(fid);
-        let mut seen: HashSet<(InstId, BlockId)> = HashSet::new();
-        for (phi, pred, v) in phi_incomings {
-            if !seen.insert((phi, pred)) {
-                continue;
-            }
-            let v = resolve(&replacements, v);
-            if let InstKind::Phi { incoming, .. } = fmut.inst_mut(phi) {
-                incoming.push((pred, v));
+        for &i in &f.block(b).insts {
+            match f.inst(i) {
+                InstKind::Load { ptr, .. } => {
+                    if let Some(s) = slot_of(ptr) {
+                        replacement[i.index()] = Some(Value::Undef(allocas[s].1));
+                        removals.push(i);
+                    }
+                }
+                InstKind::Store { ptr, .. } if slot_of(ptr).is_some() => removals.push(i),
+                _ => {}
             }
         }
     }
-    // Replace loads with the reaching values, transitively resolving
-    // loads that were themselves replaced. One bulk pass over the
-    // function instead of one full traversal per promoted load.
-    let final_replacements: HashMap<Value, Value> = replacements
-        .keys()
-        .map(|&l| (Value::Inst(l), resolve(&replacements, Value::Inst(l))))
-        .collect();
-    let fmut = m.func_mut(fid);
-    fmut.replace_uses_bulk(&final_replacements);
-    removals.push(alloca);
-    fmut.remove_insts(&removals);
-}
 
-fn resolve(replacements: &HashMap<InstId, Value>, mut v: Value) -> Value {
-    for _ in 0..64 {
-        match v {
-            Value::Inst(i) => match replacements.get(&i) {
-                Some(&next) if next != v => v = next,
-                _ => return v,
-            },
-            _ => return v,
+    // 4. Fill the phis (in walk order), rewrite every use of a removed
+    //    load in one pass, and drop the loads, stores and allocas.
+    for (phi, pred, v) in incomings {
+        if let InstKind::Phi { incoming, .. } = f.inst_mut(phi) {
+            incoming.push((pred, v));
         }
     }
-    v
+    f.map_all_operands(|v| match v {
+        Value::Inst(i) => replacement[i.index()].unwrap_or(v),
+        v => v,
+    });
+    removals.extend(allocas.iter().map(|&(a, _)| a));
+    f.remove_insts(&removals);
+    allocas.len()
 }
 
 #[cfg(test)]

@@ -4,176 +4,276 @@
 //! * merges a block into its unique predecessor when that predecessor
 //!   branches unconditionally to it,
 //! * forwards branches through empty blocks that only jump onward.
+//!
+//! The rules are applied in rounds until nothing changes. A round
+//! removes unreachable blocks, merges, then forwards every empty block
+//! whose target has no phis (all forwards are taken before any is
+//! applied). Merging and forwarding disagree on one shape: an empty
+//! block `p` that jumps to a phi-less `b` whose only predecessor is `p`.
+//! Merging keeps `p` (holding `b`'s code), forwarding keeps `b`. While
+//! any forwarder exists, a round merges only the first mergeable block
+//! in layout order and forwarding decides the rest. Otherwise a round
+//! merges chain after chain in that same layout-first order, and stops
+//! early only when a merge leaves an empty forwarder behind. The result
+//! is the one a loop merging one block per round gives. Predecessors
+//! live in per-block tables, and phis deleted by merges are substituted
+//! once at the end, so a round is linear in the function apart from a
+//! heap over layout positions.
 
-use omp_ir::{BlockId, FuncId, InstKind, Module, Terminator};
-use std::collections::{HashMap, HashSet};
+use omp_ir::{BlockId, FuncId, Function, InstId, InstKind, Module, Terminator, Value};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Runs CFG simplification on every function definition. Returns the
 /// number of removed blocks.
 pub fn run(m: &mut Module) -> usize {
     let mut total = 0;
-    for fid in m.func_ids().collect::<Vec<_>>() {
+    for fid in m.func_ids().collect::<Vec<FuncId>>() {
         if !m.func(fid).is_declaration() {
-            total += run_function(m, fid);
+            total += run_function(m.func_mut(fid));
         }
     }
     total
 }
 
-fn reachable(m: &Module, fid: FuncId) -> HashSet<BlockId> {
-    let f = m.func(fid);
-    let mut seen = HashSet::new();
+/// Phis deleted by merges and the values that replace them (indexed by
+/// instruction, allocated on the first deletion); applied to the whole
+/// function once, after the last round.
+struct PhiSubst {
+    value: Vec<Option<Value>>,
+    phis: Vec<InstId>,
+}
+
+fn run_function(f: &mut Function) -> usize {
+    let mut removed = 0;
+    let mut subst = PhiSubst {
+        value: Vec::new(),
+        phis: Vec::new(),
+    };
+    // Only forwarding can strand a block, so reachability is rechecked
+    // on the first round and after rounds that forwarded.
+    let mut check_reachability = true;
+    loop {
+        let mut changed = false;
+        if check_reachability {
+            let dead = remove_unreachable(f);
+            removed += dead;
+            changed |= dead > 0;
+        }
+        let mut preds = f.predecessor_table();
+        let single = has_forwarder(f);
+        let merged = merge_blocks(f, &mut preds, &mut subst, single);
+        removed += merged;
+        changed |= merged > 0;
+        check_reachability = forward(f, &preds);
+        changed |= check_reachability;
+        if !changed {
+            break;
+        }
+    }
+    subst.apply(f);
+    removed
+}
+
+/// Deletes blocks unreachable from the entry, first dropping the phi
+/// incomings of live blocks that name a dead (or already removed)
+/// predecessor. Returns the number of deleted blocks.
+fn remove_unreachable(f: &mut Function) -> usize {
+    let mut live = vec![false; f.block_slots()];
     let mut stack = vec![f.entry()];
-    seen.insert(f.entry());
+    live[f.entry().index()] = true;
     while let Some(b) = stack.pop() {
         for s in f.block(b).term.successors() {
-            if seen.insert(s) {
+            if !live[s.index()] {
+                live[s.index()] = true;
                 stack.push(s);
             }
         }
     }
-    seen
+    let all: Vec<BlockId> = f.block_ids().collect();
+    let dead: Vec<BlockId> = all.iter().copied().filter(|b| !live[b.index()]).collect();
+    if dead.is_empty() {
+        return 0;
+    }
+    for &b in all.iter().filter(|b| live[b.index()]) {
+        for k in 0..f.block(b).insts.len() {
+            let i = f.block(b).insts[k];
+            if let InstKind::Phi { incoming, .. } = f.inst_mut(i) {
+                incoming.retain(|(p, _)| live.get(p.index()).copied().unwrap_or(false));
+            }
+        }
+    }
+    f.remove_blocks(&dead);
+    dead.len()
 }
 
-fn run_function(m: &mut Module, fid: FuncId) -> usize {
-    let mut removed = 0;
-    loop {
-        let mut changed = false;
+/// Whether `b` is an empty non-entry block whose unconditional branch
+/// forwarding would rewire: its target is another block with no phis.
+fn is_forwarder(f: &Function, b: BlockId) -> Option<BlockId> {
+    let data = f.block(b);
+    match data.term {
+        Terminator::Br(t)
+            if t != b && b != f.entry() && data.insts.is_empty() && !has_phi(f, t) =>
+        {
+            Some(t)
+        }
+        _ => None,
+    }
+}
 
-        // 1. Remove unreachable blocks.
-        let live = reachable(m, fid);
-        let all: Vec<BlockId> = m.func(fid).block_ids().collect();
-        let dead: Vec<BlockId> = all.iter().copied().filter(|b| !live.contains(b)).collect();
-        if !dead.is_empty() {
-            let f = m.func_mut(fid);
-            // Remove phi incomings from dead predecessors first.
-            for &b in &all {
-                if !live.contains(&b) {
-                    continue;
-                }
-                let insts = f.block(b).insts.clone();
-                for i in insts {
-                    if let InstKind::Phi { incoming, .. } = f.inst_mut(i) {
-                        incoming.retain(|(p, _)| live.contains(p));
+fn has_phi(f: &Function, b: BlockId) -> bool {
+    f.block(b)
+        .insts
+        .first()
+        .is_some_and(|&i| matches!(f.inst(i), InstKind::Phi { .. }))
+}
+
+fn has_forwarder(f: &Function) -> bool {
+    f.block_ids().any(|b| is_forwarder(f, b).is_some())
+}
+
+/// The predecessor `b` can be merged into: its only predecessor, when
+/// that block ends in an unconditional branch to `b`.
+fn merge_target(f: &Function, preds: &[Vec<BlockId>], b: BlockId) -> Option<BlockId> {
+    match preds[b.index()].as_slice() {
+        &[p] if p != b && b != f.entry() && f.block(p).term == Terminator::Br(b) => Some(p),
+        _ => None,
+    }
+}
+
+/// Merges blocks into their predecessors in the order that repeatedly
+/// merging the first mergeable block in layout order gives: a min-heap
+/// of layout positions holds every block that may be mergeable, and a
+/// merge re-queues the blocks whose predecessor it changed. Stops after
+/// one merge when `single`, and otherwise as soon as a merge leaves the
+/// surviving block a forwarder (forwarding must see it before the next
+/// merge). Returns the number of merged blocks.
+fn merge_blocks(
+    f: &mut Function,
+    preds: &mut [Vec<BlockId>],
+    subst: &mut PhiSubst,
+    single: bool,
+) -> usize {
+    let layout: Vec<BlockId> = f.block_ids().collect();
+    let mut position = vec![0usize; f.block_slots()];
+    for (k, &b) in layout.iter().enumerate() {
+        position[b.index()] = k;
+    }
+    let mut heap: BinaryHeap<Reverse<usize>> = (0..layout.len()).map(Reverse).collect();
+    let mut merged: Vec<BlockId> = Vec::new();
+    while let Some(Reverse(k)) = heap.pop() {
+        let b = layout[k];
+        let Some(p) = merge_target(f, preds, b) else {
+            continue;
+        };
+        merge(f, preds, subst, p, b);
+        merged.push(b);
+        if single || is_forwarder(f, p).is_some() {
+            break;
+        }
+        heap.extend(
+            f.block(p)
+                .term
+                .successors()
+                .into_iter()
+                .map(|s| Reverse(position[s.index()])),
+        );
+    }
+    f.remove_blocks(&merged);
+    merged.len()
+}
+
+/// Moves `b`'s code and terminator into its only predecessor `p`. `b`'s
+/// phis (one incoming at most) are deleted and queued for substitution;
+/// `b`'s successors now name `p` in their phis and predecessor lists.
+/// The caller removes `b` itself.
+fn merge(
+    f: &mut Function,
+    preds: &mut [Vec<BlockId>],
+    subst: &mut PhiSubst,
+    p: BlockId,
+    b: BlockId,
+) {
+    let insts = std::mem::take(&mut f.block_mut(b).insts);
+    let mut moved = Vec::with_capacity(insts.len());
+    for i in insts {
+        if let InstKind::Phi { ty, incoming } = f.inst(i) {
+            assert!(incoming.len() <= 1, "single-pred block with multi-phi");
+            let v = incoming.first().map_or(Value::Undef(*ty), |&(_, v)| v);
+            if subst.value.is_empty() {
+                subst.value = vec![None; f.inst_slots()];
+            }
+            subst.value[i.index()] = Some(v);
+            subst.phis.push(i);
+        } else {
+            moved.push(i);
+        }
+    }
+    let term = std::mem::replace(&mut f.block_mut(b).term, Terminator::Unreachable);
+    f.block_mut(p).insts.extend(moved);
+    f.block_mut(p).term = term;
+    preds[b.index()].clear();
+    for s in f.block(p).term.successors() {
+        for q in preds[s.index()].iter_mut() {
+            if *q == b {
+                *q = p;
+            }
+        }
+        for k in 0..f.block(s).insts.len() {
+            let i = f.block(s).insts[k];
+            if let InstKind::Phi { incoming, .. } = f.inst_mut(i) {
+                for (pred, _) in incoming.iter_mut() {
+                    if *pred == b {
+                        *pred = p;
                     }
                 }
             }
-            for b in dead {
-                f.remove_block(b);
-                removed += 1;
-            }
-            changed = true;
         }
+    }
+}
 
-        // 2. Merge single-predecessor blocks whose predecessor ends in an
-        //    unconditional branch to them.
-        let f = m.func(fid);
-        let preds = f.predecessors();
-        let mut merge: Option<(BlockId, BlockId)> = None;
-        for b in f.block_ids() {
-            if b == f.entry() {
-                continue;
-            }
-            if let Some(ps) = preds.get(&b) {
-                if ps.len() == 1 {
-                    let p = ps[0];
-                    if p != b && matches!(f.block(p).term, Terminator::Br(t) if t == b) {
-                        merge = Some((p, b));
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some((p, b)) = merge {
-            let f = m.func_mut(fid);
-            // Phis in b have exactly one incoming (from p): inline them.
-            let insts = f.block(b).insts.clone();
-            for i in insts.iter().copied() {
-                if let InstKind::Phi { incoming, .. } = f.inst(i) {
-                    assert!(incoming.len() <= 1, "single-pred block with multi-phi");
-                    let v = incoming
-                        .first()
-                        .map(|(_, v)| *v)
-                        .unwrap_or(omp_ir::Value::Undef(f.inst(i).result_type()));
-                    f.replace_all_uses(omp_ir::Value::Inst(i), v);
-                    f.remove_inst(i);
-                }
-            }
-            let moved: Vec<_> = f.block(b).insts.clone();
-            let term = f.block(b).term.clone();
-            f.block_mut(b).insts.clear();
-            f.block_mut(p).insts.extend(moved);
-            f.block_mut(p).term = term;
-            // Successor phis referring to b must now refer to p.
-            for s in f.block(p).term.successors() {
-                let insts = f.block(s).insts.clone();
-                for i in insts {
-                    if let InstKind::Phi { incoming, .. } = f.inst_mut(i) {
-                        for (pred, _) in incoming.iter_mut() {
-                            if *pred == b {
-                                *pred = p;
-                            }
-                        }
-                    }
-                }
-            }
-            f.remove_block(b);
-            removed += 1;
-            changed = true;
-        }
+/// Rewires every predecessor of every forwarder straight to the
+/// forwarder's target. Forwarders and their predecessors are taken
+/// before any rewiring, as one simultaneous step. Returns whether any
+/// branch changed.
+fn forward(f: &mut Function, preds: &[Vec<BlockId>]) -> bool {
+    let rewires: Vec<(BlockId, BlockId, BlockId)> = f
+        .block_ids()
+        .filter_map(|b| is_forwarder(f, b).map(|t| (b, t)))
+        .flat_map(|(b, t)| preds[b.index()].iter().map(move |&p| (p, b, t)))
+        .collect();
+    for &(p, b, t) in &rewires {
+        f.block_mut(p)
+            .term
+            .map_successors(|s| if s == b { t } else { s });
+    }
+    !rewires.is_empty()
+}
 
-        // 3. Forward branches through empty forwarding blocks
-        //    (no instructions, unconditional branch, no phis in target
-        //    that would be confused by duplicate predecessors).
-        let f = m.func(fid);
-        let mut forwards: HashMap<BlockId, BlockId> = HashMap::new();
-        for b in f.block_ids() {
-            if b == f.entry() || !f.block(b).insts.is_empty() {
-                continue;
-            }
-            if let Terminator::Br(t) = f.block(b).term {
-                if t != b {
-                    forwards.insert(b, t);
-                }
-            }
+impl PhiSubst {
+    /// Replaces every use of a deleted phi by its incoming value
+    /// (following phis whose value is itself a deleted phi) and frees
+    /// the phis.
+    fn apply(self, f: &mut Function) {
+        if self.phis.is_empty() {
+            return;
         }
-        if !forwards.is_empty() {
-            let preds = f.predecessors();
-            // Only forward when the final target has no phis (otherwise
-            // rewriting predecessors requires phi surgery) and the hop
-            // target is not the block itself.
-            let mut applied = false;
-            let mut rewires: Vec<(BlockId, BlockId, BlockId)> = Vec::new();
-            for (&b, &t) in &forwards {
-                let target_has_phi = f
-                    .block(t)
-                    .insts
-                    .first()
-                    .is_some_and(|&i| matches!(f.inst(i), InstKind::Phi { .. }));
-                if target_has_phi {
-                    continue;
-                }
-                for &p in preds.get(&b).into_iter().flatten() {
-                    rewires.push((p, b, t));
+        let value = &self.value;
+        let resolve = |mut v: Value| {
+            // A chain visits each deleted phi at most once.
+            for _ in 0..=self.phis.len() {
+                match v {
+                    Value::Inst(i) => match value[i.index()] {
+                        Some(next) if next != v => v = next,
+                        _ => break,
+                    },
+                    _ => break,
                 }
             }
-            if !rewires.is_empty() {
-                let fm = m.func_mut(fid);
-                for (p, b, t) in rewires {
-                    fm.block_mut(p)
-                        .term
-                        .map_successors(|s| if s == b { t } else { s });
-                    applied = true;
-                }
-                if applied {
-                    changed = true;
-                }
-            }
-        }
-
-        if !changed {
-            return removed;
-        }
+            v
+        };
+        f.map_all_operands(resolve);
+        f.remove_insts(&self.phis);
     }
 }
 
